@@ -9,7 +9,8 @@
    output, same cycles, same instret — to a run that was never
    interrupted. Plus the negative paths: truncated, corrupt,
    wrong-format and wrong-ABI images are refused with a structured
-   error and exit code 2, never an exception.
+   error and exit code 2, never an exception. And a restore onto a
+   machine that already wrote pages the snapshot lacks must clear them.
 
    (An undocumented [resume-child] subcommand is the fresh process the
    self-test forks into; it loads a snapshot, finishes the run, and
@@ -19,6 +20,7 @@ module Machine = Cheri_isa.Machine
 module Abi = Cheri_compiler.Abi
 module Codegen = Cheri_compiler.Codegen
 module Snapshot = Cheri_snapshot.Snapshot
+module Tagmem = Cheri_tagmem.Tagmem
 module D = Cheri_workloads.Dhrystone
 
 let usage () =
@@ -157,6 +159,48 @@ let in_process_tests () =
       rm snap)
     Abi.all
 
+(* restore an early snapshot onto a machine that has run further and
+   written a page the snapshot lacks: the machine must come out exactly
+   as it was saved, that page zero and untagged, and finish like the
+   uninterrupted run *)
+let dirty_restore_tests () =
+  List.iter
+    (fun abi ->
+      let name = Abi.name abi in
+      let reference = run_uninterrupted abi in
+      let snap = temp ".snap" in
+      let saved = Machine.snapshot (snapshot_midrun abi ~at:(reference.o_instret / 4) snap) in
+      let m = fresh_machine abi in
+      (match Machine.run ~fuel:(3 * reference.o_instret / 4) ~yield:true m with
+      | Machine.Yielded -> ()
+      | o ->
+          fail "%s: program finished (%a) before the dirtying run ended" name Machine.pp_outcome o);
+      let page = Machine.Snap.page_bytes in
+      let mem = Machine.mem m in
+      let stray =
+        let rec free idx =
+          if List.mem_assoc idx saved.Machine.Snap.s_data_pages then free (idx + 1) else idx
+        in
+        free (Tagmem.size mem / page / 2) * page
+      in
+      Tagmem.store_word mem (stray + 8) 0x5a5a5a5a5a5a5a5aL;
+      Tagmem.set_tag_at mem stray;
+      (match Snapshot.load snap with
+      | Error e -> fail "%s: load failed: %s" name (Snapshot.error_to_string e)
+      | Ok img -> (
+          match Snapshot.restore m ~abi:name img with
+          | Error e ->
+              fail "%s: restore onto a used machine failed: %s" name (Snapshot.error_to_string e)
+          | Ok () -> ()));
+      if Machine.snapshot m <> saved then
+        fail "%s: restore onto a used machine differs from the saved state" name;
+      if Tagmem.load_word mem (stray + 8) <> 0L || Tagmem.tag_at mem stray then
+        fail "%s: a page the snapshot lacks survived the restore" name;
+      if observe m (Machine.run ~fuel:test_fuel m) <> reference then
+        fail "%s: run restored onto a used machine diverged from uninterrupted run" name;
+      rm snap)
+    Abi.all
+
 let negative_tests () =
   let abi = Abi.(Cheri Cheri_core.Cap_ops.V3) in
   let name = Abi.name abi in
@@ -255,6 +299,7 @@ let fresh_process_tests () =
 
 let self_test () =
   in_process_tests ();
+  dirty_restore_tests ();
   negative_tests ();
   fresh_process_tests ();
   print_endline "cheri-snap self-test: all checks passed"

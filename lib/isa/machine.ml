@@ -1375,10 +1375,11 @@ module Snap = struct
     s_tag_pages : (int * string) list;
   }
 
-  let page_bytes = 4096
+  let page_bytes = Mem.page_bytes
 end
 
 let snapshot t : Snap.t =
+  let data_pages, tag_pages = Mem.snapshot_pages t.memory in
   {
     Snap.s_gprs = Bytes.to_string t.gprs;
     s_caps = Array.init 32 (fun i -> cap_get_idx t i);
@@ -1404,8 +1405,8 @@ let snapshot t : Snap.t =
     s_icache = Cache.snapshot_state t.icache;
     s_l1 = Cache.snapshot_state (Cache.Timing.l1 t.dcache);
     s_l2 = Cache.snapshot_state (Cache.Timing.l2 t.dcache);
-    s_data_pages = fst (Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes);
-    s_tag_pages = snd (Mem.snapshot_pages t.memory ~page_bytes:Snap.page_bytes);
+    s_data_pages = data_pages;
+    s_tag_pages = tag_pages;
   }
 
 let restore t (s : Snap.t) =
@@ -1437,8 +1438,7 @@ let restore t (s : Snap.t) =
   Cache.restore_state t.icache s.Snap.s_icache;
   Cache.restore_state (Cache.Timing.l1 t.dcache) s.Snap.s_l1;
   Cache.restore_state (Cache.Timing.l2 t.dcache) s.Snap.s_l2;
-  Mem.restore_pages t.memory ~page_bytes:Snap.page_bytes ~data:s.Snap.s_data_pages
-    ~tags:s.Snap.s_tag_pages;
+  Mem.restore_pages t.memory ~data:s.Snap.s_data_pages ~tags:s.Snap.s_tag_pages;
   (* [pending] is observable only within a step; between steps it is
      always [None], which is where a snapshot is ever taken. *)
   t.pending <- None

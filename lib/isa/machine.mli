@@ -175,7 +175,7 @@ module Snap : sig
       nothing else should construct one by hand. *)
 
   val page_bytes : int
-  (** Sparse-encoding page size (4096). *)
+  (** Sparse-encoding page size: {!Cheri_tagmem.Tagmem.page_bytes}. *)
 end
 
 val snapshot : t -> Snap.t

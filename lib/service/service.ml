@@ -402,12 +402,16 @@ type tstate = {
   mutable ts_wall : float;
   mutable ts_resumed : bool;
   mutable ts_scratch : bool;
+  mutable ts_ckpt_failures : int;  (* checkpoint saves that failed in this worker *)
 }
 
 (* what a worker task yields up: a finished tenant, or one parked at a
    checkpoint because the worker is draining (or the tenant was
-   evicted) — the checkpoint is on disk, the tenant resumes elsewhere *)
-type wresult = W_done of tresult | W_drained of { d_slices : int; d_migrations : int }
+   evicted) — the checkpoint is on disk, the tenant resumes elsewhere.
+   Both carry how many of the task's checkpoint saves failed. *)
+type wresult =
+  | W_done of { result : tresult; ckpt_failures : int }
+  | W_drained of { d_slices : int; d_migrations : int; d_ckpt_failures : int }
 
 let worker_hb_path ~dir ~id =
   Filename.concat dir (Printf.sprintf "workers/worker_%d.status.json" id)
@@ -486,6 +490,7 @@ let worker_main (w : worker_config) =
           ts_wall = ck.Checkpoint.ck_wall_s;
           ts_resumed = true;
           ts_scratch = ck.Checkpoint.ck_scratch;
+          ts_ckpt_failures = 0;
         }
     | None ->
         {
@@ -496,19 +501,24 @@ let worker_main (w : worker_config) =
           ts_wall = 0.;
           ts_resumed = false;
           ts_scratch = a.a_restarts > 0;
+          ts_ckpt_failures = 0;
         }
   in
   let finish st outcome =
     W_done
       {
-        r_outcome = outcome;
-        r_output = Machine.output st.ts_m;
-        r_cycles = Machine.cycles st.ts_m;
-        r_instret = Machine.instret st.ts_m;
-        r_slices = st.ts_slices;
-        r_resumed = st.ts_resumed;
-        r_scratch = st.ts_scratch;
-        r_migrations = st.ts_a.a_migrations;
+        result =
+          {
+            r_outcome = outcome;
+            r_output = Machine.output st.ts_m;
+            r_cycles = Machine.cycles st.ts_m;
+            r_instret = Machine.instret st.ts_m;
+            r_slices = st.ts_slices;
+            r_resumed = st.ts_resumed;
+            r_scratch = st.ts_scratch;
+            r_migrations = st.ts_a.a_migrations;
+          };
+        ckpt_failures = st.ts_ckpt_failures;
       }
   in
   let checkpoint st =
@@ -520,16 +530,24 @@ let worker_main (w : worker_config) =
         ~deadline_s:a.a_deadline_s
     in
     (* best-effort: a failed save costs a restart-from-scratch later,
-       not the tenant *)
+       not the tenant; it is counted, and the count rides in the
+       tenant's done/drained frame to the supervisor *)
     match Snapshot.save ~note ~abi:st.ts_a.a_abi ~path:st.ts_ckpt st.ts_m with
-    | Ok _ | Error _ -> ()
+    | Ok _ -> ()
+    | Error _ -> st.ts_ckpt_failures <- st.ts_ckpt_failures + 1
   in
   let park st =
     (* the checkpoint must be durable before the drained event can be
        emitted: the event is the router's license to resume the tenant
        elsewhere from this exact file *)
     checkpoint st;
-    Pool.Done (W_drained { d_slices = st.ts_slices; d_migrations = st.ts_a.a_migrations })
+    Pool.Done
+      (W_drained
+         {
+           d_slices = st.ts_slices;
+           d_migrations = st.ts_a.a_migrations;
+           d_ckpt_failures = st.ts_ckpt_failures;
+         })
   in
   let slice_fn st =
     let a = st.ts_a in
@@ -571,13 +589,17 @@ let worker_main (w : worker_config) =
           a)
     in
     match cell.Pool.result with
-    | Ok (W_done r) ->
+    | Ok (W_done { result; ckpt_failures }) ->
         Atomic.incr tenants_done;
         (* the done event must be on the wire before the checkpoint is
            removed: if we die in between, the supervisor drains the
            event at reap time and never requeues; the reverse order
            could lose the whole tenant *)
-        out_frame (Json.Obj (("event", jstr "done") :: ("tenant", jint a.a_tenant) :: tresult_fields r));
+        out_frame
+          (Json.Obj
+             (("event", jstr "done") :: ("tenant", jint a.a_tenant)
+             :: ("checkpoint_failures", jint ckpt_failures)
+             :: tresult_fields result));
         let ckpt = Checkpoint.path ~dir:w.w_dir ~tenant:a.a_tenant in
         (try Sys.remove ckpt with Sys_error _ -> ())
     | Ok (W_drained d) ->
@@ -589,6 +611,7 @@ let worker_main (w : worker_config) =
                ("tenant", jint a.a_tenant);
                ("slices", jint d.d_slices);
                ("migrations", jint d.d_migrations);
+               ("checkpoint_failures", jint d.d_ckpt_failures);
              ])
     | Error e ->
         out_frame
@@ -725,6 +748,7 @@ type server = {
   mutable s_worker_deaths : int;
   mutable s_stall_kills : int;
   mutable s_corruptions : int;
+  mutable s_checkpoint_failures : int;  (* failed worker checkpoint saves *)
   mutable s_corrupted : int list;
   mutable s_corrupt_armed : int;  (* counts down; 0 = fired/disarmed *)
   mutable s_shutdown : bool;
@@ -749,6 +773,7 @@ let c_requeues = lazy (counter "requeues_total")
 let c_deaths = lazy (counter "worker_deaths_total")
 let c_stalls = lazy (counter "stall_kills_total")
 let c_corruptions = lazy (counter "corruptions_total")
+let c_checkpoint_failures = lazy (counter "checkpoint_failures_total")
 
 let c_orphans_requeued = lazy (Obs.counter Obs.default "service_orphans_requeued_total")
 let c_orphans_discarded = lazy (Obs.counter Obs.default "service_orphans_discarded_total")
@@ -813,6 +838,7 @@ let status_fields s =
     ("worker_deaths", jint s.s_worker_deaths);
     ("stall_kills", jint s.s_stall_kills);
     ("corruptions", jint s.s_corruptions);
+    ("checkpoint_failures", jint s.s_checkpoint_failures);
     ("corrupted", Json.Arr (List.rev_map jint s.s_corrupted));
     ( "workers",
       Json.Arr
@@ -980,6 +1006,11 @@ let handle_worker_frame s wk frame =
   match Json.parse frame with
   | Error _ -> ()
   | Ok j -> (
+      (match mem_int "checkpoint_failures" j with
+      | Some n when n > 0 ->
+          s.s_checkpoint_failures <- s.s_checkpoint_failures + n;
+          Obs.Counter.incr ~by:n (Lazy.force c_checkpoint_failures)
+      | _ -> ());
       match (mem_str "event" j, mem_int "tenant" j) with
       | Some "done", Some tid -> (
           match tresult_of_json j with
@@ -1685,6 +1716,7 @@ let server_main (cfg : config) =
       s_requeues = 0;
       s_worker_deaths = 0;
       s_stall_kills = 0;
+      s_checkpoint_failures = 0;
       s_corruptions = 0;
       s_corrupted = [];
       s_corrupt_armed = cfg.corrupt_requeue;

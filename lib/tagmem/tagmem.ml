@@ -1,8 +1,17 @@
 module Telemetry = Cheri_telemetry.Telemetry
 
+let page_shift = 12
+let page_bytes = 1 lsl page_shift
+
 type t = {
   data : Bytes.t;
   tags : Bytes.t;  (* one bit per granule, packed *)
+  written : Bytes.t;
+      (* one byte per [page_bytes] page of [data], nonzero once a write
+         may have made the page or one of its granules' tags nonzero.
+         Invariant: every nonzero data byte lies in a marked page, and
+         every set tag bit in a tag byte that covers a marked page — so
+         the snapshot hooks visit the marked pages, not the stores. *)
   granule : int;
   granule_shift : int;
   size64 : int64;  (* Bytes.length data, precomputed for the i64 range check *)
@@ -29,6 +38,7 @@ let create ?(granule = 32) ~size_bytes () =
   {
     data = Bytes.make size_bytes '\000';
     tags = Bytes.make ((granules + 7) / 8) '\000';
+    written = Bytes.make ((size_bytes + page_bytes - 1) / page_bytes) '\000';
     granule;
     granule_shift = log2 granule;
     size64 = Int64.of_int size_bytes;
@@ -49,6 +59,13 @@ let[@inline] check_range t a len =
   if a < 0 || len < 0 || a + len > size t then raise (Bus_error (Int64.of_int a))
 
 let[@inline] granule_index t a = a lsr t.granule_shift
+
+(* Mark every page a write of [len] >= 1 bytes at [a] touches. Callers
+   have range-checked [a, a+len), so the indices are in the map. *)
+let[@inline] mark t a len =
+  let first = a lsr page_shift and last = (a + len - 1) lsr page_shift in
+  if first = last then Bytes.unsafe_set t.written first '\001'
+  else Bytes.fill t.written first (last - first + 1) '\001'
 
 let[@inline] tag_bit t gi = Char.code (Bytes.get t.tags (gi lsr 3)) land (1 lsl (gi land 7)) <> 0
 
@@ -113,6 +130,7 @@ let load_byte t a =
 let store_byte t a v =
   check_range t a 1;
   Bytes.set t.data a (Char.chr (v land 0xff));
+  mark t a 1;
   clear_tags_in_range t a 1
 
 let[@inline] load_int t a ~size:sz =
@@ -132,6 +150,7 @@ let[@inline] store_int t a ~size:sz v =
   | 4 -> Bytes.set_int32_le t.data a (Int64.to_int32 v)
   | 8 -> Bytes.set_int64_le t.data a v
   | _ -> invalid_arg "Tagmem.store_int: size must be 1, 2, 4 or 8");
+  mark t a sz;
   clear_tags_in_range t a sz
 
 (* Width-specialized word path: the 8-byte case is the overwhelming
@@ -145,6 +164,7 @@ let[@inline] load_word t a =
 let[@inline] store_word t a v =
   check_range t a 8;
   Bytes.set_int64_le t.data a v;
+  mark t a 8;
   clear_tags_in_range t a 8
 
 let load_bytes t a ~len =
@@ -155,6 +175,7 @@ let store_bytes t a b =
   let len = Bytes.length b in
   check_range t a len;
   Bytes.blit b 0 t.data a len;
+  if len > 0 then mark t a len;
   clear_tags_in_range t a len
 
 let cap_width = Cheri_core.Capability.byte_width
@@ -190,6 +211,7 @@ let store_cap t a cap =
   Bytes.set_int64_le t.data (a + 8) cap.Cheri_core.Capability.length;
   Bytes.set_int64_le t.data (a + 16) cap.Cheri_core.Capability.offset;
   Bytes.set_int64_le t.data (a + 24) (Cheri_core.Capability.meta_word cap);
+  mark t a cap_width;
   (* A capability store touches exactly one granule when the granule is
      >= the capability width; clear everything it covers first, then
      set the capability's own tag on its granule. *)
@@ -230,6 +252,7 @@ let store_cap_fields t a ~base ~len ~off ~pos ~meta ~otype =
      bits in bits 16-47 — exactly [Capability.meta_word] *)
   Bytes.set_int64_le t.data (a + 24)
     (Int64.of_int ((meta land 0x1ff) lor ((otype land 0xffffffff) lsl 16)));
+  mark t a cap_width;
   clear_tags_in_range ~collateral:false t a cap_width;
   let tag = meta land 0x200 <> 0 in
   set_tag_bit t (granule_index t a) tag;
@@ -251,11 +274,13 @@ let clear_tag_at t a =
 
 let set_tag_at t a =
   check_range t a 1;
-  set_tag_bit t (granule_index t a) true
+  set_tag_bit t (granule_index t a) true;
+  mark t a 1
 
 let poke_raw t a v =
   check_range t a 1;
-  Bytes.set t.data a (Char.chr (v land 0xff))
+  Bytes.set t.data a (Char.chr (v land 0xff));
+  mark t a 1
 
 (* -- legacy int64-addressed wrappers ------------------------------------- *)
 (* Compatibility layer for callers that still hold addresses as int64
@@ -286,7 +311,8 @@ let poke_raw_i64 t addr v = poke_raw t (narrow t addr) v
 (* -- snapshot hooks ------------------------------------------------------ *)
 (* Raw page-granular dump/load of the two underlying stores, bypassing
    the integrity rule (a restore must reproduce tags exactly, not clear
-   them). Only the snapshot subsystem calls these. *)
+   them). Only the snapshot subsystem calls these. Both visit only the
+   marked pages, and of the tag store only the bytes covering them. *)
 
 (* Is [buf.[off .. off+len)] all zero? Scan 8 bytes at a time; [len] is
    a whole page except possibly the last page of an odd-sized store. *)
@@ -300,40 +326,74 @@ let page_is_zero buf off len =
   in
   go 0
 
-let dump_pages buf ~page_bytes =
-  let n = Bytes.length buf in
-  let acc = ref [] in
-  let idx = ref ((n + page_bytes - 1) / page_bytes - 1) in
-  while !idx >= 0 do
-    let off = !idx * page_bytes in
-    let len = min page_bytes (n - off) in
-    if not (page_is_zero buf off len) then
-      acc := (!idx, Bytes.sub_string buf off len) :: !acc;
-    decr idx
+(* [f p] for every marked page [p], ascending; eight unmarked pages are
+   skipped per word read. *)
+let iter_marked t f =
+  let w = t.written in
+  let n = Bytes.length w in
+  let visit lo hi =
+    for p = lo to hi do
+      if Bytes.unsafe_get w p <> '\000' then f p
+    done
+  in
+  for k = 0 to (n / 8) - 1 do
+    if Bytes.get_int64_le w (k * 8) <> 0L then visit (k * 8) ((k * 8) + 7)
   done;
-  !acc
+  visit (n / 8 * 8) (n - 1)
 
-let snapshot_pages t ~page_bytes =
-  if page_bytes <= 0 || page_bytes mod 8 <> 0 then
-    invalid_arg "Tagmem.snapshot_pages: page size must be a positive multiple of 8";
-  (dump_pages t.data ~page_bytes, dump_pages t.tags ~page_bytes)
+(* The tag bytes holding the tags of page [p]'s granules. *)
+let tag_bytes_of_page t p =
+  let shift = t.granule_shift + 3 in
+  ((p lsl page_shift) lsr shift, (min (size t) ((p + 1) lsl page_shift) - 1) lsr shift)
 
-let load_pages buf ~page_bytes pages =
-  let n = Bytes.length buf in
-  Bytes.fill buf 0 n '\000';
+let page_of buf idx =
+  let off = idx * page_bytes in
+  (idx, Bytes.sub_string buf off (min page_bytes (Bytes.length buf - off)))
+
+let snapshot_pages t =
+  let data = ref [] and tag_idx = ref [] in
+  iter_marked t (fun p ->
+      let off = p * page_bytes in
+      if not (page_is_zero t.data off (min page_bytes (size t - off))) then
+        data := page_of t.data p :: !data;
+      let lo, hi = tag_bytes_of_page t p in
+      for b = lo to hi do
+        let tp = b / page_bytes in
+        let seen = match !tag_idx with q :: _ -> q = tp | [] -> false in
+        if Bytes.unsafe_get t.tags b <> '\000' && not seen then tag_idx := tp :: !tag_idx
+      done);
+  (List.rev !data, List.rev_map (page_of t.tags) !tag_idx)
+
+let restore_pages t ~data ~tags =
+  let fits buf (idx, page) =
+    idx >= 0 && (idx * page_bytes) + String.length page <= Bytes.length buf
+  in
+  if not (List.for_all (fits t.data) data && List.for_all (fits t.tags) tags) then
+    invalid_arg "Tagmem.restore_pages: page outside the store";
+  iter_marked t (fun p ->
+      let off = p * page_bytes in
+      Bytes.fill t.data off (min page_bytes (size t - off)) '\000';
+      let lo, hi = tag_bytes_of_page t p in
+      Bytes.fill t.tags lo (hi - lo + 1) '\000');
+  Bytes.fill t.written 0 (Bytes.length t.written) '\000';
   List.iter
-    (fun (idx, (page : string)) ->
-      let off = idx * page_bytes in
-      if idx < 0 || off + String.length page > n then
-        invalid_arg "Tagmem.restore_pages: page outside the store";
-      Bytes.blit_string page 0 buf off (String.length page))
-    pages
-
-let restore_pages t ~page_bytes ~data ~tags =
-  if page_bytes <= 0 || page_bytes mod 8 <> 0 then
-    invalid_arg "Tagmem.restore_pages: page size must be a positive multiple of 8";
-  load_pages t.data ~page_bytes data;
-  load_pages t.tags ~page_bytes tags
+    (fun (idx, page) ->
+      let off = idx * page_bytes and len = String.length page in
+      Bytes.blit_string page 0 t.data off len;
+      if len > 0 then mark t off len)
+    data;
+  List.iter
+    (fun (idx, page) ->
+      Bytes.blit_string page 0 t.tags (idx * page_bytes) (String.length page);
+      (* mark the pages of the eight granules each nonzero byte tags *)
+      String.iteri
+        (fun j c ->
+          if c <> '\000' then begin
+            let a = ((idx * page_bytes) + j) lsl (t.granule_shift + 3) in
+            mark t a (min (8 * t.granule) (size t - a))
+          end)
+        page)
+    tags
 
 let count_tags t =
   let n = ref 0 in

@@ -152,21 +152,37 @@ val poke_raw_i64 : t -> int64 -> int -> unit
     rule clear them, and neither path emits telemetry. A freshly
     created memory is all-zero with clear tags, so only nonzero pages
     need to travel — a 32 MiB address space with 2 MiB touched dumps
-    as ~2 MiB. *)
+    as ~2 MiB.
 
-val snapshot_pages : t -> page_bytes:int -> (int * string) list * (int * string) list
-(** [(data_pages, tag_pages)]: every page (index, contents) of the
-    respective store holding at least one nonzero byte, ascending by
-    index. The final page of an odd-sized store may be short.
-    [page_bytes] must be a positive multiple of 8 (the zero scan reads
-    whole words); raises [Invalid_argument] otherwise. *)
+    Every memory keeps a written-page map with one byte per data page.
+    Each path that can make a page nonzero, or set the tag of one of
+    its granules, marks every page it touches: the data-path stores,
+    {!store_cap}, {!store_cap_fields}, {!set_tag_at}, {!poke_raw} and
+    [restore_pages]. So an unmarked page is all zero and holds no
+    tagged granule, and the hooks below cost O(pages written), not
+    O(memory): they visit only the marked pages and the tag bytes that
+    cover them. *)
 
-val restore_pages :
-  t -> page_bytes:int -> data:(int * string) list -> tags:(int * string) list -> unit
-(** Zero both stores, then blit the given pages back — the exact
-    inverse of {!snapshot_pages} under the same [page_bytes]. Raises
-    [Invalid_argument] if a page falls outside the store (a snapshot
-    for a differently sized memory; callers validate sizes first). *)
+val page_bytes : int
+(** Page size of the snapshot hooks and of the written-page map (4096). *)
+
+val snapshot_pages : t -> (int * string) list * (int * string) list
+(** [(data_pages, tag_pages)]: every {!page_bytes} page (index,
+    contents) of the respective store holding at least one nonzero
+    byte, ascending by index. The final page of a store whose size is
+    not a multiple of {!page_bytes} may be short. Only the marked pages
+    and their tag bytes are read; a marked page that is all zero again
+    is left out, so the result is exactly what a scan of both whole
+    stores would give. *)
+
+val restore_pages : t -> data:(int * string) list -> tags:(int * string) list -> unit
+(** Zero both stores, then blit the given pages back and mark the data
+    pages they fill or tag — the exact inverse of {!snapshot_pages}.
+    Only the marked pages and their tag bytes are zeroed, so the cost
+    is O(pages marked before + pages restored). Raises
+    [Invalid_argument], before changing anything, if a page falls
+    outside its store (a snapshot for a differently sized memory;
+    callers validate sizes first). *)
 
 val count_tags : t -> int
 (** Number of set tag bits — used by the garbage collector's root scan

@@ -43,7 +43,9 @@ let prop_decode_deterministic =
 
 (* Decode bookkeeping: the table remembers its source verbatim, keeps
    one row per instruction, classifies rows exactly as the undecoded
-   stream would, and hashes to the pre-decode digest. *)
+   stream would, and hashes to the pre-decode digest — on the first
+   call and on the remembered repeat, for this ABI and for another one
+   asked after it. *)
 let prop_decode_bookkeeping =
   QCheck.Test.make ~name:"decode: source/length/class/digest preserved" ~count:20
     QCheck.(int_bound 10_000)
@@ -60,6 +62,8 @@ let prop_decode_bookkeeping =
               Decoded.source p == code
               && Decoded.length p = Array.length code
               && Decoded.digest ~abi:name p = Decoded.source_digest ~abi:name code
+              && Decoded.digest ~abi:name p = Decoded.source_digest ~abi:name (Decoded.source p)
+              && Decoded.digest ~abi:"other" p = Decoded.source_digest ~abi:"other" code
               && Array.for_all
                    (fun i -> Decoded.telemetry_class p i = I.telemetry_class code.(i))
                    (Array.init (Array.length code) Fun.id))

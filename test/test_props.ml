@@ -132,6 +132,101 @@ let prop_tagmem_cap_roundtrip_random =
       Cheri_tagmem.Tagmem.store_cap_i64 mem ~addr c;
       Cap.equal c (Cheri_tagmem.Tagmem.load_cap_i64 mem ~addr))
 
+(* -- written-page map ------------------------------------------------------ *)
+
+module Mem = Cheri_tagmem.Tagmem
+
+(* What [snapshot_pages] must return, from a scan of the whole memory
+   through the public accessors: every nonzero page of the data store,
+   and every nonzero page of the packed tag store (bit [g land 7] of
+   byte [g lsr 3] is granule [g]'s tag). *)
+let reference_pages mem =
+  let page = Mem.page_bytes in
+  let zero = String.make page '\000' in
+  let nonzero_pages n get =
+    List.filter_map
+      (fun idx ->
+        let off = idx * page in
+        let len = min page (n - off) in
+        let s = get off len in
+        if s <> String.sub zero 0 len then Some (idx, s) else None)
+      (List.init ((n + page - 1) / page) Fun.id)
+  in
+  let size = Mem.size mem and granule = Mem.granule mem in
+  let granules = size / granule in
+  let tags = Bytes.make ((granules + 7) / 8) '\000' in
+  for g = 0 to granules - 1 do
+    if Mem.tag_at mem (g * granule) then
+      let byte = Char.code (Bytes.get tags (g lsr 3)) in
+      Bytes.set tags (g lsr 3) (Char.chr (byte lor (1 lsl (g land 7))))
+  done;
+  ( nonzero_pages size (fun off len -> Bytes.to_string (Mem.load_bytes mem off ~len)),
+    nonzero_pages (Bytes.length tags) (fun off len -> Bytes.sub_string tags off len) )
+
+(* Random writes through every entry point that can make a page
+   nonzero (or zero again): stores that straddle a page boundary,
+   multi-page byte blits, the short last page, capability stores, the
+   below-architecture hooks on pages nothing else wrote, and restores
+   of an earlier dump. After each one the map-driven [snapshot_pages]
+   must equal the full scan. The store is 5 pages + 96 bytes, so its
+   last data page is short. *)
+let prop_written_pages_invariant =
+  QCheck.Test.make ~name:"tagmem: written-page snapshot equals a full scan" ~count:200
+    QCheck.(pair (int_bound 0x3fffffff) (int_range 1 60))
+    (fun (seed, steps) ->
+      let rs = Random.State.make [| seed |] in
+      let page = Mem.page_bytes in
+      let size = (5 * page) + 96 in
+      let mem = Mem.create ~size_bytes:size () in
+      let int n = Random.State.int rs n in
+      (* half the values are zero, so pages also go back to all-zero *)
+      let value () = if Random.State.bool rs then 0L else Random.State.int64 rs Int64.max_int in
+      (* an address for a [len]-byte access: anywhere, straddling a page
+         boundary, or at the very end of the store *)
+      let addr len =
+        match int 3 with
+        | 0 -> int (size - len + 1)
+        | 1 -> max 0 (min (size - len) (((1 + int 5) * page) - 1 - int (max 1 (len - 1))))
+        | _ -> size - len
+      in
+      let cap_addr () = min (size - 32) (addr 32) land lnot 31 in
+      let lane () =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 (value ());
+        b
+      in
+      let saved = ref (Mem.snapshot_pages mem) in
+      let step () =
+        match int 10 with
+        | 0 -> Mem.store_byte mem (addr 1) (Int64.to_int (value ()))
+        | 1 ->
+            let sz = List.nth [ 1; 2; 4; 8 ] (int 4) in
+            Mem.store_int mem (addr sz) ~size:sz (value ())
+        | 2 -> Mem.store_word mem (addr 8) (value ())
+        | 3 ->
+            let len = int ((3 * page) + 1) in
+            let b = if Random.State.bool rs then Bytes.make len '\000' else Bytes.make len 'x' in
+            Mem.store_bytes mem (addr len) b
+        | 4 ->
+            let c = Cap.make ~base:(value ()) ~length:(value ()) ~perms:Perms.all in
+            Mem.store_cap mem (cap_addr ()) (if Random.State.bool rs then c else Cap.clear_tag c)
+        | 5 ->
+            Mem.store_cap_fields mem (cap_addr ()) ~base:(lane ()) ~len:(lane ()) ~off:(lane ())
+              ~pos:0 ~meta:(int 0x400) ~otype:(int 0x10000)
+        | 6 -> Mem.set_tag_at mem (addr 1)
+        | 7 -> Mem.poke_raw mem (addr 1) (int 256)
+        | 8 -> Mem.clear_tag_at mem (addr 1)
+        | _ ->
+            if Random.State.bool rs then saved := Mem.snapshot_pages mem
+            else
+              let data, tags = !saved in
+              Mem.restore_pages mem ~data ~tags
+      in
+      let rec go n =
+        n = 0 || (step (); Mem.snapshot_pages mem = reference_pages mem && go (n - 1))
+      in
+      go steps)
+
 (* -- snapshot serialization --------------------------------------------------- *)
 
 module Snapshot = Cheri_snapshot.Snapshot
@@ -171,9 +266,14 @@ let sm64 st =
    just states a legal run can reach. Preempt a real run (live heap
    pages, caches, tag bits), then overwrite every register, capability
    and counter with arbitrary values: capabilities with overflowing
-   bounds, sealed-but-untagged combinations, 64-bit otypes. A
-   save/load/restore trip into a fresh machine must reproduce the
-   Snap record field for field. *)
+   bounds, sealed-but-untagged combinations, 64-bit otypes — and the
+   memory: a random subset of the run's data and tag pages plus random
+   new ones. Both restores in the trip land on machines that already
+   wrote pages the snapshot lacks (the preempted run itself, and a
+   second machine run part-way and scribbled on), so every page a
+   restore does not bring back must come out zero. The save/load/
+   restore trip must reproduce the Snap record field for field, and
+   both machines' memories must scan to exactly the snapshot's pages. *)
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~name:"snapshot: save/load/restore is the identity on machine state"
     ~count:20
@@ -203,6 +303,23 @@ let prop_snapshot_roundtrip =
         String.init (nat () mod 200) (fun _ -> Char.chr (Int64.to_int (Int64.logand (next ()) 0xffL)))
       in
       let opt () = if bit () then Some (nat ()) else None in
+      (* keep a random subset of [pages] and add up to [extra] random
+         nonzero pages (a snapshot never carries an all-zero page) *)
+      let pages orig ~count ~extra =
+        let fresh =
+          List.init (nat () mod (extra + 1)) (fun _ ->
+              let idx = nat () mod count in
+              let b =
+                Bytes.init Machine.Snap.page_bytes (fun _ ->
+                    if bit () then Char.chr (nat () land 0xff) else '\000')
+              in
+              Bytes.set b (nat () mod Machine.Snap.page_bytes) '\001';
+              (idx, Bytes.to_string b))
+        in
+        List.filter (fun _ -> bit ()) orig @ fresh
+        |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+      in
+      let mem_size = (Machine.config m).Machine.mem_size in
       let s' =
         {
           s with
@@ -223,6 +340,12 @@ let prop_snapshot_roundtrip =
           s_alloc_fail_after = opt ();
           s_free_fail_after = opt ();
           s_output = output;
+          s_data_pages =
+            pages s.Machine.Snap.s_data_pages ~count:(mem_size / Machine.Snap.page_bytes) ~extra:4;
+          s_tag_pages =
+            pages s.Machine.Snap.s_tag_pages
+              ~count:(mem_size / 32 / 8 / Machine.Snap.page_bytes)
+              ~extra:2;
         }
       in
       Machine.restore m s';
@@ -239,10 +362,19 @@ let prop_snapshot_roundtrip =
             | Error e -> failwith (Snapshot.error_to_string e)
           in
           let m2 = Cheri_compiler.Codegen.machine_for abi linked in
+          ignore (Machine.run ~fuel:(1 + (nat () mod 5_000)) ~yield:true m2 : Machine.outcome);
+          for _ = 1 to 4 do
+            Cheri_tagmem.Tagmem.store_word (Machine.mem m2) (nat () mod (mem_size - 8)) (next ())
+          done;
           (match Snapshot.restore m2 ~abi:(Cheri_compiler.Abi.name abi) img with
           | Ok () -> ()
           | Error e -> failwith (Snapshot.error_to_string e));
-          Machine.snapshot m2 = s'))
+          (* the map-driven snapshot cannot see a stale page the
+             restore failed to clear; the full scan can *)
+          let pages = (s'.Machine.Snap.s_data_pages, s'.Machine.Snap.s_tag_pages) in
+          reference_pages (Machine.mem m) = pages
+          && reference_pages (Machine.mem m2) = pages
+          && Machine.snapshot m2 = s'))
 
 let suite =
   [
@@ -254,6 +386,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flat_heap_guard_gaps;
     QCheck_alcotest.to_alcotest prop_sealed_roundtrip;
     QCheck_alcotest.to_alcotest prop_tagmem_cap_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_written_pages_invariant;
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
   ]
 

@@ -1,13 +1,15 @@
 (* The multi-tenant service's pure pieces: wire framing, admission
-   control, and the checkpoint/config/assignment JSON round trips. The
-   process-level behavior (worker SIGKILL, heartbeat reaping,
-   checkpoint corruption) is covered by the cheri-serve --chaos rule
-   in bin/dune. *)
+   control, and the checkpoint/config/assignment JSON round trips, plus
+   one real cheri-serve server whose checkpoint saves fail. The rest of
+   the process-level behavior (worker SIGKILL, heartbeat reaping,
+   checkpoint corruption) is covered by the cheri-serve --chaos rule in
+   bin/dune. *)
 
 module Protocol = Cheri_service.Protocol
 module Admission = Cheri_service.Admission
 module Service = Cheri_service.Service
 module Json = Cheri_util.Json
+module Client = Cheri_service.Chaos.Client
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -449,6 +451,102 @@ let test_bind_listener () =
       | Ok fd3 -> Unix.close fd3
       | Error e -> Alcotest.failf "stale regular file not reclaimed: %s" e)
 
+(* -- failed checkpoint saves ----------------------------------------------------- *)
+
+(* A supervisor and its worker, run by the cheri-serve binary built next
+   to this test (this binary cannot host them: the qcheck runner prints
+   its seed on stdout at start-up, which is the worker's frame pipe). *)
+let spawn_server cfg =
+  let exe =
+    List.fold_left Filename.concat (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "cheri_serve.exe" ]
+  in
+  Unix.create_process exe
+    [| exe; Service.server_marker; Service.config_to_json cfg |]
+    Unix.stdin Unix.stderr Unix.stderr
+
+(* With the checkpoint directory gone every save fails. The tenant must
+   still finish with the serial reference's result, and the supervisor
+   must count the failures in stats and in the metrics registry. *)
+let test_checkpoint_failures_counted () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        { (Service.default_config ~dir) with Service.workers = 1; tick_s = 0.02; slice = 5_000 }
+      in
+      let src =
+        "int main(void) { long a = 0; for (long i = 0; i < 5000; i++) { a = a + i; } \
+         print_int(a); return 0; }"
+      in
+      let pid = spawn_server cfg in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        (fun () ->
+          if not (Client.wait_socket cfg.Service.socket ~timeout_s:10.0) then
+            Alcotest.fail "server socket never came up";
+          Unix.rmdir (Filename.concat dir "checkpoints");
+          let cl = Client.connect cfg.Service.socket in
+          let request fields =
+            match Client.request cl (Json.Obj fields) with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "request failed: %s" e
+          in
+          let int k j = Option.bind (Json.member k j) Json.to_int in
+          let tid =
+            match
+              int "tenant"
+                (request
+                   [
+                     ("op", Json.Str "submit");
+                     ("source", Json.Str src);
+                     ("abi", Json.Str "cheriv3");
+                     ("slice", Json.Num "5000");
+                   ])
+            with
+            | Some tid -> tid
+            | None -> Alcotest.fail "submit refused"
+          in
+          let deadline = Unix.gettimeofday () +. 30.0 in
+          let rec await () =
+            let r = request [ ("op", Json.Str "poll"); ("tenant", Json.Num (string_of_int tid)) ] in
+            match Option.bind (Json.member "state" r) Json.to_string with
+            | Some "done" -> Option.get (Json.member "result" r)
+            | Some ("queued" | "running") when Unix.gettimeofday () < deadline ->
+                Unix.sleepf 0.02;
+                await ()
+            | _ -> Alcotest.failf "tenant did not finish: %s" (Json.encode r)
+          in
+          let result = await () in
+          let expect =
+            match Service.run_serial ~abi:"cheriv3" ~fuel:cfg.Service.fuel ~slice:5_000 src with
+            | Ok e -> e
+            | Error e -> Alcotest.failf "serial reference failed: %s" e
+          in
+          let str k = Option.bind (Json.member k result) Json.to_string in
+          check_bool "same outcome" true (str "outcome" = Some expect.Service.r_outcome);
+          check_bool "same output" true (str "output" = Some expect.Service.r_output);
+          check_bool "same cycles" true (int "cycles" result = Some expect.Service.r_cycles);
+          check_bool "same instret" true (int "instret" result = Some expect.Service.r_instret);
+          check_bool "several slices, so several saves" true (expect.Service.r_slices > 2);
+          let failures = int "checkpoint_failures" (request [ ("op", Json.Str "stats") ]) in
+          check_bool "stats counts one failure per yield" true
+            (failures = Some (expect.Service.r_slices - 1));
+          let metrics =
+            request [ ("op", Json.Str "metrics") ]
+            |> Json.member "metrics"
+            |> Fun.flip Option.bind Json.to_string
+            |> Option.value ~default:""
+          in
+          check_bool "metrics carry serve_checkpoint_failures_total" true
+            (List.exists
+               (fun line ->
+                 match String.split_on_char ' ' line with
+                 | [ "serve_checkpoint_failures_total"; v ] -> int_of_string_opt v = failures
+                 | _ -> false)
+               (String.split_on_char '\n' metrics));
+          Client.close cl))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -471,4 +569,6 @@ let suite =
     Alcotest.test_case "socket claim probes before unlinking" `Quick test_bind_listener;
     Alcotest.test_case "run_serial deterministic slicing" `Quick
       test_run_serial_slicing_invariant;
+    Alcotest.test_case "failed checkpoint saves are counted" `Quick
+      test_checkpoint_failures_counted;
   ]
